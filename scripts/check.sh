@@ -50,25 +50,19 @@ PYTHONPATH=src python -m pytest benchmarks/bench_universe_fit.py -q --benchmark-
 # non-zero if any serving invariant (metrics conservation, breaker
 # sequencing, stale-never-error, snapshot restore) is violated.
 echo "== chaos smoke (seeded fault injection) =="
-PYTHONPATH=src python -m repro chaos --requests 120 --error-rate 0.1 --seed 7 >/dev/null \
-    && echo "chaos invariants hold"
+PYTHONPATH=src python -m repro chaos --requests 120 --error-rate 0.1 --seed 7 >/dev/null
+echo "chaos invariants hold"
 
-# Socket round trip: spawn the gateway on a real ephemeral port and replay
-# a few hundred open-loop requests against it (~2 s). Exercises the full
-# serve path — listener, keep-alive connections, graceful drain — and the
-# replayer's SLO accounting; exits non-zero if the error rate blows up.
+# Socket round trip: spawn the asyncio gateway server on a real ephemeral
+# port and replay a few hundred open-loop requests against it (~2 s).
+# Exercises the full serve path — listener, keep-alive connections, inline
+# fast path, executor offload, graceful drain — and the replayer's SLO
+# accounting; exits non-zero if the error rate blows up or the server
+# fails to drain cleanly.
 echo "== serve+replay smoke (real socket round trip) =="
 PYTHONPATH=src python -m repro replay --spawn --requests 300 --rate 300 \
-    --warmup 30 --seed 7 >/dev/null \
-    && echo "socket replay round trip ok"
-
-# Same round trip over the asyncio front end: inline fast path, executor
-# offload, graceful drain (the command exits non-zero if the spawned
-# server fails to drain cleanly).
-echo "== serve+replay smoke (asyncio front end) =="
-PYTHONPATH=src python -m repro replay --spawn --async --requests 300 --rate 300 \
-    --warmup 30 --seed 7 >/dev/null \
-    && echo "asyncio replay round trip ok"
+    --warmup 30 --seed 7 >/dev/null
+echo "socket replay round trip ok"
 
 # Router smoke: boot two forked shard workers behind the consistent-hash
 # front tier, assert the partition is exhaustive and disjoint (worker
@@ -78,3 +72,19 @@ PYTHONPATH=src python -m repro replay --spawn --async --requests 300 --rate 300 
 # the whole deployment cleanly. Exits non-zero on the first divergence.
 echo "== router smoke (2 forked shards, byte parity + clean drain) =="
 PYTHONPATH=src python -m repro router-smoke --keys 4 --shards 2
+
+# Benchmark smoke: one short traced hot-read run of the repository
+# benchmark (~30 s). It imports and wraps serving-stack names the
+# benchmark depends on, and byte-compares served answers against an
+# in-process gateway; its last line is the result JSON, which must
+# report "correct": true.
+echo "== benchmark smoke (perfbench hot-read, traced) =="
+bench_out=$(python3 perfbench/run.py --workload hot-read --seed 1 --seconds 2 --trace 1)
+if ! printf '%s\n' "$bench_out" | tail -n 1 | python3 -c \
+    'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)'
+then
+    printf '%s\n' "$bench_out" | tail -n 20
+    echo "benchmark smoke: run not correct" >&2
+    exit 1
+fi
+echo "benchmark smoke ok"

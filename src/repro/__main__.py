@@ -26,14 +26,14 @@ Commands:
     structure-of-arrays phase-1 fitter and verify bound series, change
     points, ladders and bid queries are bit-identical to per-key scalar
     ``DraftsPredictor`` fits; exits non-zero on the first divergence.
-``serve [--scale test] [--keys N] [--host H] [--port P] [--async] [--workers N]``
+``serve [--scale test] [--keys N] [--host H] [--port P] [--workers N | --shards N]``
     Stand the serving gateway up behind a real listening socket
     (``/predictions``, ``/bid``, ``/cheapest``, ``/healthz``, ``/metrics``)
-    and run until interrupted; Ctrl-C drains gracefully. ``--async``
-    swaps the thread-per-connection front end for the single-threaded
-    asyncio one; ``--workers N`` (asyncio only) forks N SO_REUSEPORT
-    processes sharing the port.
-``replay [--url U | --spawn [--async]] [--requests N] [--rate R] ...``
+    on the single-threaded asyncio front end and run until interrupted;
+    Ctrl-C drains gracefully. ``--workers N`` forks N SO_REUSEPORT
+    processes sharing the port; ``--shards N`` partitions the keys across
+    N forked shards behind the consistent-hash router.
+``replay [--url U | --spawn] [--requests N] [--rate R] ...``
     Replay an open-loop (diurnal x Zipf) workload against a serving socket
     and print the tail SLO table. ``--spawn`` brings up an in-process
     server on an ephemeral port (optionally with seeded latency spikes)
@@ -338,20 +338,11 @@ def _replay_universe(args: argparse.Namespace):
     return predictable_keys(universe, args.keys, args.probability)
 
 
-def _server_class(use_async: bool):
-    if use_async:
-        from repro.serving.aiohttpd import AsyncGatewayHTTPServer
-
-        return AsyncGatewayHTTPServer
-    from repro.serving.httpd import GatewayHTTPServer
-
-    return GatewayHTTPServer
-
-
 def _serve_one(args: argparse.Namespace, *, reuse_port: bool, banner: bool) -> int:
     """Build a warm gateway, serve until SIGINT, drain, report."""
     from repro.cloud.api import EC2Api
     from repro.service.drafts_service import DraftsService, ServiceConfig
+    from repro.serving.aiohttpd import AsyncGatewayHTTPServer
     from repro.serving.gateway import GatewayConfig, ServingGateway
     from repro.serving.httpd import HttpdConfig
 
@@ -370,7 +361,7 @@ def _serve_one(args: argparse.Namespace, *, reuse_port: bool, banner: bool) -> i
             f"/predictions/{key[0]}/{key[1]}"
             f"?probability={key[2]}&now={start_now}"
         )
-    server = _server_class(args.use_async)(
+    server = AsyncGatewayHTTPServer(
         gateway,
         HttpdConfig(
             host=args.host,
@@ -381,8 +372,7 @@ def _serve_one(args: argparse.Namespace, *, reuse_port: bool, banner: bool) -> i
     )
     server.start()
     if banner:
-        front = "asyncio" if args.use_async else "threaded"
-        print(f"serving {len(keys)} warm key(s) on {server.url} ({front})")
+        print(f"serving {len(keys)} warm key(s) on {server.url}")
         print(f"  warm simulation instant: now={start_now}")
         for key in keys:
             print(
@@ -469,11 +459,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_one(args, reuse_port=False, banner=True)
     # Multi-loop mode: N processes bind the same port via SO_REUSEPORT and
     # the kernel spreads connections across them. One event loop is one
-    # core, so this is the asyncio front end's scale-out story; the
-    # threaded server has no equivalent constraint and keeps one process.
-    if not args.use_async:
-        print("serve: --workers requires --async", file=sys.stderr)
-        return 2
+    # core, so this is the front end's scale-out story.
     if args.port == 0:
         print(
             "serve: --workers requires an explicit --port "
@@ -606,11 +592,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             # Forked full-universe replicas, one ephemeral port each, so
             # the EWMA/quarantine tracker sees real per-worker targets
             # instead of one SO_REUSEPORT URL the kernel muddles.
-            if not args.use_async:
-                print(
-                    "replay: --workers requires --async", file=sys.stderr
-                )
-                return 2
             from repro.serving.router import ForkedWorker
 
             universe = scaled_universe(args.scale)
@@ -625,6 +606,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 DraftsService,
                 ServiceConfig,
             )
+            from repro.serving.aiohttpd import AsyncGatewayHTTPServer
             from repro.serving.chaos import FaultConfig, ReplaySpiker
             from repro.serving.gateway import GatewayConfig, ServingGateway
             from repro.serving.httpd import HttpdConfig
@@ -650,14 +632,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     f"/predictions/{key[0]}/{key[1]}"
                     f"?probability={key[2]}&now={start_now}"
                 )
-            server = _server_class(args.use_async)(
+            server = AsyncGatewayHTTPServer(
                 gateway, HttpdConfig(max_connections=256), spike=spiker
             )
             server.start()
             urls = [server.url]
-    elif args.use_async:
-        print("replay: --async only applies with --spawn", file=sys.stderr)
-        return 2
     elif args.shards > 0 or args.workers > 1:
         print(
             "replay: --shards/--workers only apply with --spawn",
@@ -949,18 +928,11 @@ def main(argv: list[str] | None = None) -> int:
         "final checkpoint after the drain)",
     )
     p_srv.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve from the single-threaded asyncio front end instead "
-        "of a thread per connection",
-    )
-    p_srv.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="SO_REUSEPORT worker processes (requires --async and an "
-        "explicit --port); the kernel spreads connections across loops",
+        help="SO_REUSEPORT worker processes (requires an explicit "
+        "--port); the kernel spreads connections across loops",
     )
     p_srv.add_argument(
         "--shards",
@@ -1012,18 +984,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_rep.add_argument("--spike-seconds", type=float, default=0.25)
     p_rep.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="spawn the asyncio front end instead of the threaded one "
-        "(--spawn only)",
-    )
-    p_rep.add_argument(
         "--workers",
         type=int,
         default=1,
         help="spawn N forked full-universe replicas, one ephemeral port "
-        "each, and replay across all of them (requires --spawn --async); "
+        "each, and replay across all of them (requires --spawn); "
         "the EWMA tracker sees one target per worker",
     )
     p_rep.add_argument(

@@ -1,15 +1,15 @@
 """Asyncio HTTP front end for the gateway (one event loop, no threads-per-connection).
 
-The threaded front end (:mod:`repro.serving.httpd`) spends its capacity on
-thread wakeups: every keep-alive connection pins a thread, and past a few
-dozen connections the scheduler — not the gateway — sets the throughput
-ceiling. This module serves the same routes from a single-threaded
-``asyncio`` event loop (stdlib only): connections are protocol objects,
-socket readiness is one ``epoll`` set, and the loop multiplexes thousands
-of keep-alive peers without a thread each.
+The gateway's only socket server. A thread-per-connection design spends
+its capacity on thread wakeups: every keep-alive connection pins a
+thread, and past a few dozen connections the scheduler — not the
+gateway — sets the throughput ceiling. This module serves the routes
+from a single-threaded ``asyncio`` event loop (stdlib only): connections
+are protocol objects, socket readiness is one ``epoll`` set, and the
+loop multiplexes thousands of keep-alive peers without a thread each.
 
-The contract is unchanged from the threaded server — it is the *same*
-transport-agnostic core (:mod:`repro.serving.httpcore`):
+The wire contract is defined by the transport-agnostic core
+(:mod:`repro.serving.httpcore`):
 
 * **parity** — same status code and byte-identical body (via
   :func:`repro.service.rest.encode_body`) as the in-process gateway for
@@ -18,8 +18,7 @@ transport-agnostic core (:mod:`repro.serving.httpcore`):
   always set; per-connection read timeouts reap dead peers;
 * **overflow shed** — beyond ``max_connections`` concurrent connections
   the accept loop writes the canned 429 + ``Retry-After`` and closes
-  (bytes identical to the threaded server's shed, both built by
-  :func:`~repro.serving.httpcore.shed_response_bytes`);
+  (bytes built by :func:`~repro.serving.httpcore.shed_response_bytes`);
 * **graceful drain** — :meth:`AsyncGatewayHTTPServer.stop` stops
   accepting, lets in-flight requests finish, closes idle keep-alives,
   sheds the kernel accept-queue backlog, and only then checkpoints and
@@ -30,7 +29,7 @@ Three event-loop-specific decisions:
 * **inline fast path** — most requests are warm-store reads the gateway
   answers in microseconds; paying a thread-pool round trip for each would
   cost more than the handler itself. The protocol asks the gateway
-  (:meth:`~repro.serving.gateway.ServingGateway.can_serve_inline`)
+  (:meth:`~repro.serving.gateway.ServingGateway.probe_inline`)
   whether the URL can be answered without blocking — warm ``predictions``
   and ``bid`` reads, health, metrics, every in-memory error path — and if
   so dispatches *synchronously inside* ``data_received``: one callback
@@ -42,7 +41,7 @@ Three event-loop-specific decisions:
   while at most ``executor_workers`` handlers run, and excess requests
   queue on the (async) semaphore instead of spawning threads.
 * **SO_REUSEPORT fan-out** — one loop is one core. ``reuse_port=True``
-  lets N server processes (``python -m repro serve --async --workers N``)
+  lets N server processes (``python -m repro serve --workers N``)
   bind the same port and have the kernel spread connections across
   loops; the replayer's EWMA/quarantine routing needs no changes to
   drive them.
@@ -80,11 +79,8 @@ from repro.serving.httpd import HttpdConfig
 
 __all__ = ["AsyncGatewayHTTPServer"]
 
-# The request-head parser is shared with the shard router; keep the old
-# module-private names alive for in-repo callers.
-_MAX_HEAD_BYTES = MAX_HEAD_BYTES
-_Headers = Headers
-_BadRequest = BadRequest
+# _serve calls the head parser through this module-level name: the traced
+# benchmark run (perfbench/tracing.py) wraps aiohttpd._parse_head to time it.
 _parse_head = parse_head
 
 
@@ -140,7 +136,7 @@ class _GatewayProtocol(asyncio.Protocol):
         while True:
             index = self.buffer.find(b"\r\n\r\n")
             if index < 0:
-                if len(self.buffer) > _MAX_HEAD_BYTES:
+                if len(self.buffer) > MAX_HEAD_BYTES:
                     self.transport.close()  # oversized head; no valid answer
                 return
             head = bytes(self.buffer[:index])
@@ -154,7 +150,7 @@ class _GatewayProtocol(asyncio.Protocol):
         server = self.server
         try:
             method, path, headers = _parse_head(head)
-        except _BadRequest as exc:
+        except BadRequest as exc:
             self._write(400, {"error": str(exc)}, close=True)
             return False
         if method != "GET":
@@ -185,7 +181,7 @@ class _GatewayProtocol(asyncio.Protocol):
         task.add_done_callback(server._request_done)
         return False
 
-    async def _offload(self, path: str, headers: _Headers, close: bool) -> None:
+    async def _offload(self, path: str, headers: Headers, close: bool) -> None:
         """One potentially blocking gateway call, off the loop, behind
         the bounded semaphore."""
         server = self.server
@@ -257,19 +253,16 @@ class _GatewayProtocol(asyncio.Protocol):
 class AsyncGatewayHTTPServer:
     """The gateway behind a single-threaded asyncio event loop.
 
-    Drop-in for :class:`~repro.serving.httpd.GatewayHTTPServer`: same
-    constructor shape, same ``start``/``stop``/``address``/``url``
-    surface, same drain statistics, same metrics names — so the parity
-    suite, the replayer and the chaos spike hook treat the two servers
-    interchangeably. The loop runs in one background thread; warm-store
-    reads dispatch inline on the loop, while potentially blocking gateway
-    work (cold-miss fits, snapshot writes, chaos spikes) runs on a
-    bounded executor so it never stalls connection I/O.
+    The loop runs in one background thread; warm-store reads dispatch
+    inline on the loop, while potentially blocking gateway work
+    (cold-miss fits, snapshot writes, chaos spikes) runs on a bounded
+    executor so it never stalls connection I/O.
 
     ``manage_gateway=True`` (default) ties the gateway lifecycle to the
-    server's, exactly as the threaded server does: :meth:`start` starts
-    the refresher workers (and the warm-restore), :meth:`stop` — after
-    the drain — stops the gateway, which writes the final checkpoint.
+    server's: :meth:`start` starts the refresher workers (and the
+    warm-restore), :meth:`stop` — after the drain — stops the gateway,
+    which writes the final checkpoint. Pass ``False`` when the caller
+    owns the gateway.
     """
 
     def __init__(
@@ -305,7 +298,7 @@ class AsyncGatewayHTTPServer:
         self._requests_total = None
         self._requests_inline = None
 
-    # -- public surface (mirrors GatewayHTTPServer) ---------------------------
+    # -- public surface -------------------------------------------------------
 
     @property
     def gateway(self) -> ServingGateway:
@@ -378,11 +371,13 @@ class AsyncGatewayHTTPServer:
     def stop(self) -> dict:
         """Graceful drain, then shut the gateway down (final checkpoint).
 
-        Same sequence and statistics as the threaded server: stop
-        accepting; wait for in-flight requests (bounded by
+        Sequence: stop accepting; wait for in-flight requests (bounded by
         ``drain_timeout_seconds``); close remaining keep-alive
         connections; shed the kernel accept queue; close the listener;
-        stop the gateway (final checkpoint).
+        stop the gateway — whose shutdown checkpoint therefore observes
+        every admitted request. Returns drain statistics
+        (``drained``, ``forced_close``, ``backlog_shed``, plus the
+        gateway's ``identity`` when it has one).
         """
         loop, thread = self._loop, self._thread
         if loop is None:
@@ -473,8 +468,7 @@ class AsyncGatewayHTTPServer:
         One sweep for all connections instead of one timer per read: a
         dead peer is closed within ``request_timeout_seconds`` plus one
         sweep interval. Connections with an offloaded request in flight
-        are not reaped — the timeout covers *reads*, as in the threaded
-        server.
+        are not reaped — the timeout covers *reads*, not handler time.
         """
         timeout = self._cfg.request_timeout_seconds
         interval = min(max(timeout / 4.0, 0.05), 1.0)

@@ -65,12 +65,10 @@ from repro.serving.store import CurveKey
 from repro.util.tables import format_table
 
 __all__ = [
-    "FrontendBenchConfig",
     "ScalingBenchConfig",
     "ServingBenchConfig",
     "SloBenchConfig",
     "format_serving_report",
-    "run_frontend_benchmark",
     "run_refresh_benchmark",
     "run_scaling_benchmark",
     "run_serving_benchmark",
@@ -543,8 +541,9 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
        ``hedged p99.9 < unhedged p99.9`` is the acceptance check
        (``ok`` in the returned dict).
     """
+    from repro.serving.aiohttpd import AsyncGatewayHTTPServer
     from repro.serving.chaos import FaultConfig, ReplaySpiker
-    from repro.serving.httpd import GatewayHTTPServer, HttpdConfig
+    from repro.serving.httpd import HttpdConfig
     from repro.serving.loadgen import DiurnalEnvelope
     from repro.serving.replay import ReplayConfig, Replayer
 
@@ -552,7 +551,7 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
     universe = scaled_universe(cfg.scale)
     keys, start_now = _serving_keys(universe, cfg.n_keys, probability=0.95)
 
-    server = GatewayHTTPServer(
+    server = AsyncGatewayHTTPServer(
         _slo_gateway(universe, keys, start_now),
         HttpdConfig(max_connections=256),
     )
@@ -587,7 +586,7 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
                 seed=cfg.seed,
             )
         )
-        demo_server = GatewayHTTPServer(
+        demo_server = AsyncGatewayHTTPServer(
             _slo_gateway(universe, keys, start_now),
             HttpdConfig(max_connections=256),
             spike=spiker,
@@ -631,59 +630,15 @@ def run_slo_benchmark(config: SloBenchConfig | None = None) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class FrontendBenchConfig:
-    """Shape of the threaded-vs-asyncio front-end comparison.
-
-    Both servers get the *same* replay — same seed, same offered
-    open-loop load, same key universe, same warmed gateway construction —
-    so the only variable is the HTTP front end (thread-per-connection vs
-    single event loop with executor offload).
-
-    The replay runs in ``waves``: each wave is a fresh replayer with a
-    fresh (empty) connection pool against the same running server, so
-    every wave re-pays the connection storm. That is the regime the two
-    designs actually differ in — a thread-per-connection server pays a
-    thread spawn per storm connection, the event loop pays an accept —
-    and repeating the storm also averages out the run-to-run jitter a
-    single short stream suffers on a small host.
-
-    Attributes
-    ----------
-    scale / n_keys / seed:
-        Universe preset, key-universe size, load-generator seed.
-    waves:
-        Replay repetitions; latencies aggregate across all waves.
-    n_requests / rate / warmup_requests / concurrency / timeout_seconds:
-        The open-loop replay of each wave (warmup dropped per wave).
-    max_connections / executor_workers:
-        Server knobs (``executor_workers`` only affects the asyncio
-        front end; the listen backlog is sized to ``2 * concurrency`` so
-        a storm never overflows into SYN retransmits).
-    """
-
-    scale: str = "test"
-    n_keys: int = 4
-    seed: int = 7
-    waves: int = 4
-    n_requests: int = 2000
-    rate: float = 12000.0
-    warmup_requests: int = 100
-    concurrency: int = 128
-    timeout_seconds: float = 5.0
-    max_connections: int = 512
-    executor_workers: int = 8
-
-
 def _replay_waves(server, keys, cfg, start_now: float) -> dict:
     """Run ``cfg.waves`` fresh replays against a running server and
     aggregate their measured records into one summary.
 
     ``cfg`` is any config carrying the replay fields (``waves``,
     ``n_requests``, ``rate``, ``seed``, ``warmup_requests``,
-    ``concurrency``, ``timeout_seconds``) — the front-end comparison and
-    the shard-scaling benchmark share this loop so their numbers are
-    produced by identical machinery."""
+    ``concurrency``, ``timeout_seconds``) — the shard-scaling benchmark
+    runs it against the direct worker and every routed deployment, so
+    their numbers are produced by identical machinery."""
     from repro.serving.replay import ReplayConfig, Replayer
 
     class _RecordingReplayer(Replayer):
@@ -697,10 +652,10 @@ def _replay_waves(server, keys, cfg, start_now: float) -> dict:
     achieved_window = 0.0
     offered_window = 0.0
     # Cycle-collector pauses land on whichever thread holds the GIL; on
-    # the event-loop front end that is the one serving thread, so GC
-    # noise hits the two designs asymmetrically. Collect between waves,
-    # keep the collector off during each measured wave (both fronts get
-    # the same treatment; one wave is under a second, the garbage fits).
+    # an event-loop server that is the one serving thread. Collect
+    # between waves, keep the collector off during each measured wave
+    # (every target gets the same treatment; one wave is under a second,
+    # the garbage fits).
     for wave in range(cfg.waves):
         replayer = _RecordingReplayer(
             [server.url],
@@ -754,61 +709,6 @@ def _replay_waves(server, keys, cfg, start_now: float) -> dict:
     }
 
 
-def run_frontend_benchmark(config: FrontendBenchConfig | None = None) -> dict:
-    """Threaded vs asyncio front end under the identical open-loop replay.
-
-    Returns per-front-end SLO summaries plus the acceptance arithmetic:
-    ``achieved_ratio`` (asyncio achieved throughput over threaded) and
-    ``ok`` — true when asyncio reaches >= 1.5x the threaded achieved
-    throughput at equal-or-better p99.
-    """
-    from repro.serving.aiohttpd import AsyncGatewayHTTPServer
-    from repro.serving.httpd import GatewayHTTPServer, HttpdConfig
-
-    cfg = config or FrontendBenchConfig()
-    universe = scaled_universe(cfg.scale)
-    keys, start_now = _serving_keys(universe, cfg.n_keys, probability=0.95)
-    out: dict = {
-        "keys": ["{}@{}".format(k[0], k[1]) for k in keys],
-        "offered": {
-            "waves": cfg.waves,
-            "n_requests": cfg.n_requests,
-            "rate": cfg.rate,
-            "concurrency": cfg.concurrency,
-        },
-    }
-    for label, server_cls in (
-        ("threaded", GatewayHTTPServer),
-        ("asyncio", AsyncGatewayHTTPServer),
-    ):
-        server = server_cls(
-            _slo_gateway(universe, keys, start_now),
-            HttpdConfig(
-                max_connections=cfg.max_connections,
-                backlog=2 * cfg.concurrency,
-                executor_workers=cfg.executor_workers,
-            ),
-        )
-        server.start()
-        try:
-            summary = _replay_waves(server, keys, cfg, start_now)
-        finally:
-            drain = server.stop()
-        summary["drain"] = drain
-        out[label] = summary
-    out["achieved_ratio"] = out["asyncio"]["achieved_rps"] / max(
-        out["threaded"]["achieved_rps"], 1e-9
-    )
-    out["p99_ratio"] = out["asyncio"]["p99"] / max(
-        out["threaded"]["p99"], 1e-9
-    )
-    out["ok"] = (
-        out["achieved_ratio"] >= 1.5
-        and out["asyncio"]["p99"] <= out["threaded"]["p99"]
-    )
-    return out
-
-
 @dataclass(frozen=True)
 class ScalingBenchConfig:
     """Shape of the shard-routed scaling measurement.
@@ -824,8 +724,8 @@ class ScalingBenchConfig:
     processes, so throughput can only multiply when the host has cores
     to schedule them on. With ``cpu_count >= 4`` the 4-shard deployment
     must reach >= 2x the direct baseline's achieved throughput at
-    equal-or-better p99; on smaller hosts (this repo's CI box has one
-    vCPU) the gate instead requires that routing *preserves* throughput
+    equal-or-better p99; with fewer than 4 CPUs the gate instead
+    requires that routing *preserves* throughput
     — every shard count >= ``min_preserve_ratio`` of the direct
     baseline with a zero error rate and clean drains — so the benchmark
     stays honest instead of asserting a physically impossible speedup.
@@ -934,7 +834,7 @@ def run_scaling_benchmark(config: ScalingBenchConfig | None = None) -> dict:
         )
     else:
         out["gate"] = (
-            f"single-core ({cpu_count} cpu): routing preserves >= "
+            f"fewer than 4 cpus ({cpu_count}): routing preserves >= "
             f"{cfg.min_preserve_ratio:.0%} of direct rps, zero errors, "
             "clean drains"
         )

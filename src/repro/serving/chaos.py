@@ -162,11 +162,13 @@ class FaultyApi:
 class ReplaySpiker:
     """Seeded request-level latency spikes for the socket server.
 
-    Mounts on :class:`repro.serving.httpd.GatewayHTTPServer` as the
-    pre-dispatch ``spike`` hook: each incoming request stalls for
-    ``spike_seconds`` with probability ``spike_rate`` (seeded, so the
-    expected spike count of a run is reproducible; which requests get hit
-    depends on handler-thread arrival order). With ``spare_hedges=True``
+    Mounts on :class:`repro.serving.aiohttpd.AsyncGatewayHTTPServer` as
+    the pre-dispatch ``spike`` hook, which sends every request through the
+    server's executor (a hook may sleep, and must not stall the event
+    loop): each request stalls for ``spike_seconds`` with probability
+    ``spike_rate`` (seeded, so the expected spike count of a run is
+    reproducible; which requests get hit depends on the order executor
+    threads reach the hook). With ``spare_hedges=True``
     (the default) requests carrying the replayer's hedge marker are never
     spiked — modelling *replica-local* slowness, the regime hedging is
     designed for (Dean & Barroso): the stall afflicts one copy of a

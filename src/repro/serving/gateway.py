@@ -439,31 +439,27 @@ class ServingGateway:
         self.metrics.counter("gateway.other").inc()
         return Response(404, {"error": f"no route for {path!r}"})
 
-    def can_serve_inline(self, url: str) -> bool:
-        """True when answering ``url`` cannot block the calling thread.
-
-        Every route is an in-memory read except a cold-miss curve, which
-        fits inline — and ``cheapest``, which scans every zone and may hit
-        any number of cold keys. An event-loop front end uses this probe
-        to dispatch warm reads on the loop itself and push potentially
-        blocking requests to its executor. The probe is side-effect free:
-        it reads through :meth:`~repro.serving.store.ShardedCurveStore.peek`,
-        so it never perturbs the store's popularity accounting, and a
-        conservative ``False`` is always safe (the request merely takes
-        the slower, offloaded path).
-        """
-        return self.probe_inline(url)[0]
-
     def probe_inline(self, url: str):
-        """(non-blocking, warm curve) for ``url`` — the raw probe.
+        """(non-blocking, warm curve) for ``url``.
 
-        The first element is :meth:`can_serve_inline`'s answer. The second
-        is the warm curve object that would serve a ``predictions``/``bid``
-        hit, or ``None`` for every other case (in-memory routes, error
-        paths, cold keys). Curves are immutable once fitted, so the object
-        doubles as a cache-validation token: a response derived from this
-        curve and this URL stays byte-stable exactly as long as the store
-        still holds the same object.
+        The first element is True when answering ``url`` cannot block the
+        calling thread. Every route is an in-memory read except a
+        cold-miss curve, which fits inline — and ``cheapest``, which
+        scans every zone and may hit any number of cold keys. An
+        event-loop front end uses this probe to dispatch warm reads on
+        the loop itself and push potentially blocking requests to its
+        executor. The probe is side-effect free: it reads through
+        :meth:`~repro.serving.store.ShardedCurveStore.peek`, so it never
+        perturbs the store's popularity accounting, and a conservative
+        ``False`` is always safe (the request merely takes the slower,
+        offloaded path).
+
+        The second element is the warm curve object that would serve a
+        ``predictions``/``bid`` hit, or ``None`` for every other case
+        (in-memory routes, error paths, cold keys). Curves are immutable
+        once fitted, so the object doubles as a cache-validation token: a
+        response derived from this curve and this URL stays byte-stable
+        exactly as long as the store still holds the same object.
         """
         segments, query, _path = self._parse_url(url)
         if len(segments) != 3 or segments[0] not in (

@@ -1,11 +1,12 @@
-"""Transport-agnostic core shared by the threaded and asyncio servers.
+"""Transport-agnostic HTTP core of the serving front tier.
 
-Both HTTP front ends (:mod:`repro.serving.httpd`, thread-per-connection;
-:mod:`repro.serving.aiohttpd`, single-threaded event loop) mount the same
-gateway and must answer byte-identically on every status path. Everything
-that defines those bytes — request dispatch, the canned connection-shed
-429, header derivation, the drain-window backlog sweep — lives here, so
-"parity" is one code path instead of two copies that can drift.
+The asyncio gateway server (:mod:`repro.serving.aiohttpd`) and the shard
+router (:mod:`repro.serving.router`) both write HTTP/1.1 to raw sockets
+and must answer byte-identically to the in-process gateway on every
+status path. Everything that defines those bytes — request dispatch, the
+canned connection-shed 429, header derivation, the drain-window backlog
+sweep, the request-head parser — lives here, so "parity" is one code path
+instead of copies that can drift.
 
 Contents:
 
@@ -14,13 +15,11 @@ Contents:
   500 body, never a dropped connection);
 * :func:`retry_after_header` — RFC 9110 integer ``Retry-After`` seconds
   derived from a response body's ``retry_after`` hint;
-* :func:`shed_body` / :func:`shed_response_bytes` — the canned 429 a
-  server writes raw (no handler machinery) when a connection is shed at
-  the accept gate; one builder, so threaded and asyncio shed bytes are
-  identical;
-* :func:`render_response` — a full HTTP/1.1 response head + payload for
-  code paths that write the wire directly (the asyncio server, raw
-  sheds);
+* :func:`shed_response_bytes` / :func:`shed_response_bytes_for` — the
+  canned 429 a server writes raw when a connection is shed at the accept
+  gate; one builder, so gateway-server and router shed bytes agree;
+* :func:`render_response` — a full HTTP/1.1 response head + payload as
+  wire bytes;
 * :func:`sweep_backlog` — accept-and-shed every connection sitting in
   the kernel accept queue, closing the drain race where a client that
   connected after the stop-accepting gate would otherwise be reset by
@@ -49,14 +48,13 @@ __all__ = [
     "reason_phrase",
     "render_response",
     "retry_after_header",
-    "shed_body",
     "shed_response_bytes",
     "shed_response_bytes_for",
     "shed_socket",
     "sweep_backlog",
 ]
 
-#: ``Server:`` header value, shared by both front ends.
+#: ``Server:`` header value on every rendered response.
 SERVER_NAME = "repro-serving"
 
 #: Cap on one buffered request head (request line + headers).
@@ -146,9 +144,8 @@ def render_response(
 ) -> bytes:
     """A complete HTTP/1.1 response (head + payload) as wire bytes.
 
-    Used wherever a server writes the socket directly instead of going
-    through handler machinery: the asyncio front end for every response,
-    both front ends for the canned accept-gate shed.
+    Every response the asyncio front end, the router and the canned
+    accept-gate shed put on the wire goes through here.
     """
     head = (
         f"HTTP/1.1 {status} {reason_phrase(status)}\r\n"
@@ -189,30 +186,16 @@ def canned_response(
     )
 
 
-def shed_body(gateway) -> dict:
-    """The canned connection-shed 429 body (same shape as handler sheds:
-    an ``error`` string plus a float ``retry_after`` hint)."""
-    retry = float(max(1, math.ceil(gateway.config.retry_after_seconds)))
-    return {
-        "error": "server connection limit reached; connection shed",
-        "retry_after": retry,
-    }
-
-
 def shed_response_bytes(gateway) -> bytes:
-    """The full canned 429 both servers write for a shed connection."""
-    body = shed_body(gateway)
-    return render_response(
-        429,
-        encode_body(body),
-        retry_after=retry_after_header(body),
-        close=True,
-    )
+    """The full canned 429 a gateway server writes for a shed connection."""
+    return shed_response_bytes_for(gateway.config.retry_after_seconds)
 
 
 def shed_response_bytes_for(retry_after_seconds: float) -> bytes:
-    """The canned connection-shed 429 for a front tier without a gateway
-    (the shard router), byte-compatible with :func:`shed_response_bytes`."""
+    """The canned connection-shed 429: same body shape as handler sheds
+    (an ``error`` string plus a float ``retry_after`` hint), written with
+    ``Connection: close``. Takes the hint directly for a front tier
+    without a gateway (the shard router)."""
     retry = float(max(1, math.ceil(retry_after_seconds)))
     body = {
         "error": "server connection limit reached; connection shed",

@@ -1,6 +1,6 @@
-"""Socket-server tests: parity with the in-process gateway, keep-alive,
-connection shedding, graceful drain — parametrised over the threaded and
-asyncio front ends, which must be wire-indistinguishable."""
+"""Socket-server tests for the asyncio front end: parity with the
+in-process gateway, keep-alive, connection shedding, graceful drain, and
+the executor path a spike hook forces."""
 
 from __future__ import annotations
 
@@ -20,18 +20,14 @@ from repro.service.rest import encode_body
 from repro.serving.aiohttpd import AsyncGatewayHTTPServer
 from repro.serving.gateway import GatewayConfig, ServingGateway
 from repro.serving.httpcore import shed_response_bytes
-from repro.serving.httpd import GatewayHTTPServer, HttpdConfig
+from repro.serving.httpd import HttpdConfig
 from repro.serving.loadgen import predictable_keys
 
-SERVER_KINDS = {
-    "threaded": GatewayHTTPServer,
-    "asyncio": AsyncGatewayHTTPServer,
-}
 
-
-@pytest.fixture(params=sorted(SERVER_KINDS))
+@pytest.fixture(params=["asyncio"])
 def server_cls(request):
-    return SERVER_KINDS[request.param]
+    """The server class under test; ``asyncio`` names it in the test ids."""
+    return AsyncGatewayHTTPServer
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +71,6 @@ def _stop_accepting(server) -> None:
     """Put ``server`` exactly in the drain window: the stop-accepting gate
     has fired, but the listener is still open and :meth:`stop` has not yet
     run — new TCP handshakes land in the kernel backlog unanswered."""
-    if isinstance(server, GatewayHTTPServer):
-        inner = server._server
-        with inner._state:
-            inner.draining = True
-        inner.shutdown()  # accept loop exits; listener stays open
-        return
 
     async def gate() -> None:
         server._draining = True
@@ -307,6 +297,38 @@ class TestShedParity:
         assert isinstance(shed_body["retry_after"], float)
         assert isinstance(handler_body["retry_after"], float)
         assert int(shed_headers["content-length"]) == len(shed_payload)
+
+
+class TestSpikeHook:
+    """An armed spike hook may sleep, so it must never run on the event
+    loop: every request goes through the executor, and the hook sees each
+    request once before dispatch, without changing the bytes."""
+
+    def test_armed_hook_offloads_every_request(self, env, server_cls):
+        universe, keys, start_now = env
+        (t, z, p), _ = keys
+        cases = [
+            (200, f"/predictions/{t}/{z}?probability={p}&now={start_now}"),
+            (404, "/nope"),
+        ]
+        seen: list[str] = []
+
+        def spike(path, headers):
+            seen.append(path)
+
+        gateway = _gateway(universe)
+        with server_cls(gateway, HttpdConfig(), spike=spike) as server:
+            for want_status, url in cases:
+                # The in-process read warms the key, so only the armed
+                # hook keeps the socket request off the inline path.
+                expected = gateway.get(url)
+                assert expected.status == want_status, url
+                status, _, body = _get(server.address, url)
+                assert status == expected.status, url
+                assert body == encode_body(expected.body), url
+            assert gateway.metrics.counter("httpd.requests").value == 2
+            assert gateway.metrics.counter("httpd.requests_inline").value == 0
+        assert seen == [url for _, url in cases]
 
 
 class TestConnections:

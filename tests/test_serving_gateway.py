@@ -181,7 +181,7 @@ class TestInlineProbe:
         url = f"/predictions/c4.large/us-east-1b?probability=0.95&now={now}"
         assert gateway.get(url).status == 200
         can_inline, curve = gateway.probe_inline(url)
-        assert can_inline and gateway.can_serve_inline(url)
+        assert can_inline
         entry = gateway.store.peek(("c4.large", "us-east-1b", 0.95))
         assert curve is entry.curve
 
