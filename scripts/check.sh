@@ -37,12 +37,14 @@ fi
 echo "== universe tick smoke (batch vs scalar bit-identity) =="
 PYTHONPATH=src python -m repro universe-smoke --keys 32
 
-# Universe-fit smoke: batch-fit a 32-key universe (ragged history lengths)
-# through the structure-of-arrays phase-1 fitter and require bit-identical
-# bound series, change points, ladders and bids against per-key scalar
-# fits (~3 s); then smoke-run the gating benchmark body once untimed.
+# Universe-fit smoke: batch-fit a 32-key universe (ragged history lengths,
+# probability levels 0.95 and 0.99 alternated across keys, so one sweep
+# carries two quantiles) through the structure-of-arrays phase-1 fitter
+# and require bit-identical bound series, change points, ladders and bids
+# against per-key scalar fits (~3 s); then smoke-run the gating benchmark
+# body once untimed.
 echo "== universe fit smoke (batch vs scalar bit-identity) =="
-PYTHONPATH=src python -m repro fit-smoke --keys 32
+PYTHONPATH=src python -m repro fit-smoke --keys 32 --probability 0.95 0.99
 PYTHONPATH=src python -m pytest benchmarks/bench_universe_fit.py -q --benchmark-disable
 
 # Seeded chaos smoke: faulty history API at 10% error rate plus a mid-run

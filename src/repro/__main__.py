@@ -21,11 +21,12 @@ Commands:
     path in lockstep with per-key scalar predictors and verify the
     published curves and bid queries are bit-identical at every
     checkpoint; exits non-zero on the first divergence.
-``fit-smoke [--keys N] [--epochs N] [--probability P]``
-    Batch-fit an N-key universe (ragged history lengths) through the
-    structure-of-arrays phase-1 fitter and verify bound series, change
-    points, ladders and bid queries are bit-identical to per-key scalar
-    ``DraftsPredictor`` fits; exits non-zero on the first divergence.
+``fit-smoke [--keys N] [--epochs N] [--probability P [P ...]]``
+    Batch-fit an N-key universe (ragged history lengths, the levels
+    alternated across keys) through the structure-of-arrays phase-1
+    fitter and verify bound series, change points, ladders and bid
+    queries are bit-identical to per-key scalar ``DraftsPredictor``
+    fits; exits non-zero on the first divergence.
 ``serve [--scale test] [--keys N] [--host H] [--port P] [--workers N | --shards N]``
     Stand the serving gateway up behind a real listening socket
     (``/predictions``, ``/bid``, ``/cheapest``, ``/healthz``, ``/metrics``)
@@ -266,7 +267,12 @@ def _cmd_fit_smoke(args: argparse.Namespace) -> int:
     from repro.core.universe_fit import fit_drafts_universe
     from repro.market.synthetic import VOLATILITY_CLASSES, synthetic_trace
 
-    config = DraftsConfig(probability=args.probability)
+    # Several levels alternate across keys, so the batch fitter sweeps
+    # mixed per-key quantiles in one pass.
+    configs = [
+        DraftsConfig(probability=args.probability[i % len(args.probability)])
+        for i in range(args.keys)
+    ]
     classes = list(VOLATILITY_CLASSES)
     # Ragged history lengths on purpose: the batch fitter pads and masks
     # short keys, and every length must still match its scalar fit.
@@ -280,9 +286,9 @@ def _cmd_fit_smoke(args: argparse.Namespace) -> int:
         for i in range(args.keys)
     ]
 
-    fit = fit_drafts_universe(traces, config)
+    fit = fit_drafts_universe(traces, configs)
     preds = [fit.predictor(k) for k in range(args.keys)]
-    refs = [DraftsPredictor(trace, config) for trace in traces]
+    refs = [DraftsPredictor(t, c) for t, c in zip(traces, configs)]
 
     def floats_equal(a: float, b: float) -> bool:
         return a == b or (math.isnan(a) and math.isnan(b))
@@ -320,7 +326,8 @@ def _cmd_fit_smoke(args: argparse.Namespace) -> int:
     print(
         f"fit-smoke: ok — {checked} keys "
         f"({min(len(t) for t in traces)}-{max(len(t) for t in traces)} "
-        f"epochs, ragged), batch fit bit-identical to the scalar path"
+        f"epochs, ragged, p={','.join(map(str, args.probability))}), "
+        f"batch fit bit-identical to the scalar path"
     )
     return 0
 
@@ -907,7 +914,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_fsm.add_argument("--keys", type=int, default=32)
     p_fsm.add_argument("--epochs", type=int, default=400)
-    p_fsm.add_argument("--probability", type=float, default=0.95)
+    p_fsm.add_argument(
+        "--probability",
+        type=float,
+        nargs="+",
+        default=[0.95],
+        help="probability levels, alternated across keys",
+    )
     p_fsm.add_argument("--seed", type=int, default=900)
     p_fsm.set_defaults(func=_cmd_fit_smoke)
 

@@ -20,12 +20,16 @@ universe at once, as one structure-of-arrays pass per *epoch column*:
   "low" threshold, the autocorrelation threshold) is one lockstep
   binary-search descent across all queried keys — the same kernel style as
   :func:`repro.core.universe.kth_of_two_sorted`.
-* The shared binomial index table is snapshotted once per fit
-  (:func:`repro.core.binomial.index_table`), so the per-column bound
-  selection is a gather instead of 452 list probes.
+* Keys may differ in ``q`` and ``c`` (one probability level each, so a
+  service publishing 0.95 and 0.99 fits both in one sweep): the quantile,
+  minimum history and change-point thresholds are per-key arrays, and one
+  row of the binomial index table
+  (:func:`repro.core.binomial.index_table`) per distinct ``(q, c)`` is
+  snapshotted and stacked once per fit, so the per-column bound selection
+  is one flat gather instead of 452 list probes.
 
 Change points are the one genuinely scalar event: they are rare (a few per
-key per fit), so each firing is handled by a per-key Python mirror of
+key per fit), so each firing is handled by a per-key mirror of
 ``QBETS.update``'s truncation/winsorisation branch, rewriting that key's
 history segment in place and rebuilding its tree row. If a key's
 post-change state cannot be represented in its compressed alphabet (a
@@ -83,6 +87,16 @@ def _batchable(cfg: QBETSConfig) -> bool:
     return True
 
 
+def _lockstep_config(cfg: QBETSConfig) -> QBETSConfig:
+    """``cfg`` with the fields one column sweep may vary per key pinned.
+
+    ``max_value`` (tracker domain), ``q`` and ``c`` (binomial index row,
+    minimum history, up-detector threshold) live in per-key arrays; every
+    other field drives the shared column clock and must agree.
+    """
+    return replace(cfg, max_value=1.0, q=0.5, c=0.5)
+
+
 class UniverseFitter:
     """One batched phase-1 fit over many price histories.
 
@@ -94,9 +108,10 @@ class UniverseFitter:
     configs:
         One :class:`QBETSConfig` shared by every key, or a sequence of
         per-key configs. All configs must agree on every field except
-        ``max_value`` (the tracker domain may vary per key); disagreement
-        raises ``ValueError`` because lockstep columns require shared
-        decimation/window/quantile parameters.
+        ``max_value``, ``q`` and ``c``: the tracker domain and the
+        probability level may vary per key, so every published level fits
+        in one sweep. Disagreement elsewhere raises ``ValueError`` because
+        lockstep columns require shared decimation/window parameters.
     need_bounds:
         ``True`` (fit mode) materialises the full per-key bound series,
         exactly as ``QBETS.bound_series`` would. ``False`` (scan mode)
@@ -128,11 +143,12 @@ class UniverseFitter:
                 f"{len(cfg_list)} configs for {K} series"
             )
         if K:
-            shared = {replace(c, max_value=1.0) for c in cfg_list}
+            shared = {_lockstep_config(c) for c in cfg_list}
             if len(shared) > 1:
                 raise ValueError(
-                    "batched fit requires configs identical up to max_value; "
-                    f"got {len(shared)} distinct configurations"
+                    "batched fit requires configs identical up to "
+                    f"max_value, q and c; got {len(shared)} distinct "
+                    "configurations"
                 )
         self._series = arrays
         self._cfg_for = cfg_list
@@ -181,17 +197,23 @@ class UniverseFitter:
     def _setup(self, cfg: QBETSConfig) -> None:
         K, T = self._K, self._T
         order = self._order
+        cfgs = [self._cfg_for[k] for k in order.tolist()]
         self._tick = float(cfg.tick)
-        self._q = float(cfg.q)
         self._cp_down_q = float(cfg.cp_down_quantile)
         self._autocorr = bool(cfg.autocorr)
         self._use_cp = bool(cfg.changepoint)
         self._decim = int(cfg.cp_decimation)
         self._refresh = int(cfg.autocorr_refresh)
-        self._min_history = cfg.min_history()
-        self._keep_base = max(cfg.cp_window * self._decim, self._min_history)
+        # q and c may differ per key (one probability level each): the
+        # quantile, minimum history and truncation floor are per-key arrays.
+        self._q = np.array([c.q for c in cfgs], dtype=np.float64)
+        self._min_history = np.array(
+            [c.min_history() for c in cfgs], dtype=np.int64
+        )
+        self._keep_base = np.maximum(
+            cfg.cp_window * self._decim, self._min_history
+        )
         self._Wa = int(cfg.autocorr_window)
-        self._arange_wa = np.arange(self._Wa, dtype=np.int64)
         # The closed-form lag-1 fast path needs m = hits/Wa (and every
         # partial sum) exactly representable: Wa a power of two, small
         # enough that Wa^3 stays under 2^53.
@@ -305,9 +327,14 @@ class UniverseFitter:
         self._ess_den = np.ones(K, dtype=np.float64)
         self._upd = np.zeros(K, dtype=np.int64)
         if self._use_cp:
-            self._crit_up = BinomialRunDetector(
-                1.0 - self._q, self._Wd, cfg.cp_alpha
-            ).critical_hits
+            crit = {
+                q: BinomialRunDetector(1.0 - q, self._Wd, cfg.cp_alpha)
+                .critical_hits
+                for q in set(self._q.tolist())
+            }
+            self._crit_up = np.array(
+                [crit[q] for q in self._q.tolist()], dtype=np.int64
+            )
             self._crit_down = BinomialRunDetector(
                 self._cp_down_q, self._Wd, cfg.cp_alpha
             ).critical_hits
@@ -319,8 +346,20 @@ class UniverseFitter:
             self._dn_len = np.zeros(K, dtype=np.int64)
             self._dn_head = np.zeros(K, dtype=np.int64)
             self._dn_hits = np.zeros(K, dtype=np.int64)
-        table = binomial.index_table(cfg.side, cfg.q, cfg.c, T)
-        self._k_table = np.array(table[: T + 1], dtype=np.int64)
+        # One binomial index row per distinct (q, c), stacked flat; key j
+        # reads k(n) at _k_flat[_k_base[j] + n].
+        rows: dict[tuple[float, float], int] = {}
+        gid = [rows.setdefault((c.q, c.c), len(rows)) for c in cfgs]
+        self._k_flat = np.concatenate(
+            [
+                np.array(
+                    binomial.index_table(cfg.side, q, c, T)[: T + 1],
+                    dtype=np.int64,
+                )
+                for q, c in rows
+            ]
+        )
+        self._k_base = np.array(gid, dtype=np.int64) * (T + 1)
         neg = -self._len_sorted
         self._kact_arr = np.searchsorted(
             neg, -np.arange(T, dtype=np.int64), side="left"
@@ -385,6 +424,22 @@ class UniverseFitter:
         elen[:kact] = np.minimum(ln + 1, self._Wd)
         return (elen[:kact] == self._Wd) & (ehits[:kact] >= crit)
 
+    def _bound_index(self, kact: int) -> np.ndarray:
+        """Per-key binomial index ``k`` (``QBETS._k_for(_effective_n())``)."""
+        La = self._L[:kact]
+        if self._autocorr:
+            ne = (
+                (La.astype(np.float64) * self._ess_num[:kact])
+                / self._ess_den[:kact]
+            ).astype(np.int64)
+            np.maximum(ne, 1, out=ne)
+            floor_ = np.minimum(La, self._min_history[:kact])
+            np.maximum(ne, floor_, out=ne)
+        else:
+            ne = La.copy()
+        ne += self._k_base[:kact]
+        return self._k_flat[ne]
+
     def _compute_bounds_incr(self, kact: int, v: np.ndarray) -> None:
         """Event-driven bound maintenance for the fit-mode column sweep.
 
@@ -397,17 +452,7 @@ class UniverseFitter:
         transition), or (c) a change point rewrote the segment.
         """
         La = self._L[:kact]
-        if self._autocorr:
-            ne = (
-                (La.astype(np.float64) * self._ess_num[:kact])
-                / self._ess_den[:kact]
-            ).astype(np.int64)
-            np.maximum(ne, 1, out=ne)
-            floor_ = np.minimum(La, self._min_history)
-            np.maximum(ne, floor_, out=ne)
-        else:
-            ne = La
-        k = self._k_table[ne]
+        k = self._bound_index(kact)
         events = k != self._k_prev[:kact]
         events |= self._cp_touched[:kact]
         events |= v > self._bound[:kact]
@@ -428,17 +473,7 @@ class UniverseFitter:
     def _compute_bounds(self, kact: int) -> None:
         """Mirror ``QBETS._recompute_bound`` for the whole active prefix."""
         La = self._L[:kact]
-        if self._autocorr:
-            ne = (
-                (La.astype(np.float64) * self._ess_num[:kact])
-                / self._ess_den[:kact]
-            ).astype(np.int64)
-            np.maximum(ne, 1, out=ne)
-            floor_ = np.minimum(La, self._min_history)
-            np.maximum(ne, floor_, out=ne)
-        else:
-            ne = La
-        k = self._k_table[ne]
+        k = self._bound_index(kact)
         self._bound[:kact] = np.nan
         valid = np.flatnonzero((k >= 0) & (La > 0))
         if valid.size:
@@ -508,7 +543,7 @@ class UniverseFitter:
                     self._up_head,
                     self._up_hits,
                     exceeded,
-                    self._crit_up,
+                    self._crit_up[:kact],
                 )
                 fired_dn = self._observe(
                     kact,
@@ -541,6 +576,12 @@ class UniverseFitter:
             # into the `qb.bound` property's fresh recompute.
             self._scan_final[:] = self._bound
             self._compute_bounds(self._K)
+        # Sweep-only buffers: the result reads bounds, slots and the state
+        # mirrors, never the price matrix, the trees or the kernel scratch.
+        del self._prices_T, self._comp_T, self._uniq
+        del self._tree, self._tree_flat, self._push_idx
+        del self._sel_node, self._sel_r, self._sel_base, self._sel_idx
+        del self._sel_go
 
     def _refresh_rho_col(self, kact: int) -> None:
         upd = self._upd
@@ -559,7 +600,7 @@ class UniverseFitter:
         if live.size == 0:
             return
         Ll = self._L[live]
-        idx = np.ceil(self._q * Ll).astype(np.int64) - 1
+        idx = np.ceil(self._q[live] * Ll).astype(np.int64) - 1
         np.maximum(idx, 0, out=idx)
         np.minimum(idx, Ll - 1, out=idx)
         thr = self._select(live, idx)
@@ -656,40 +697,41 @@ class UniverseFitter:
     # -- change points and ejection ------------------------------------------
 
     def _handle_changepoint(self, j: int, i: int, down: bool) -> None:
-        """Python mirror of ``QBETS.update``'s change-point branch.
+        """Vectorised mirror of ``QBETS.update``'s change-point branch.
 
         Rewrites key ``j``'s history segment in place (slots + compressed
         ranks), rebuilds its tree row bottom-up, and resets its recent ring
-        and autocorrelation state — all with the same Python-float
-        arithmetic the scalar branch uses, so the post-change state is
-        bit-identical.
+        and autocorrelation state. Every float is produced by the same IEEE
+        operation the scalar branch applies per value (``slot * tick``,
+        ``ceil(x / tick - 1e-9)``, comparisons, a sort), so the post-change
+        state is bit-identical.
         """
         self._cps[j].append(i + 1)
         self._cp_touched[j] = True
         tick = self._tick
-        keep = min(self._keep_base, int(self._L[j]))
+        min_history = int(self._min_history[j])
+        keep = min(int(self._keep_base[j]), int(self._L[j]))
         seg_end = i + 1
-        kept_slots = self._slots_T[seg_end - keep : seg_end, j].tolist()
-        kept = [s * tick for s in kept_slots]
+        kept = self._slots_T[seg_end - keep : seg_end, j] * tick
         u = self._uniq[j, : self._U[j]]
-        if down and len(kept) >= 8:
-            ceiling = max(kept[-(len(kept) // 4) :])
-            filtered = [x for x in kept if x <= ceiling]
-            if len(filtered) < self._min_history:
-                removed = sorted(x for x in kept if x > ceiling)
-                pad = removed[: self._min_history - len(filtered)]
-                filtered = pad + filtered
+        if down and kept.size >= 8:
+            ceiling = kept[-(kept.size // 4) :].max()
+            low = kept <= ceiling
+            filtered = kept[low]
+            if filtered.size < min_history:
+                removed = np.sort(kept[~low])
+                pad = removed[: min_history - filtered.size]
+                filtered = np.concatenate((pad, filtered))
             kept = filtered
             limit = int(self._slots_limit[j])
-            new_slots = []
-            for x in kept:
-                slot = int(math.ceil(x / tick - 1e-9))
-                if slot >= limit:
-                    raise ValueError(
-                        f"value {x} exceeds tracker domain "
-                        f"(max {(limit - 1) * tick})"
-                    )
-                new_slots.append(slot)
+            slots_f = np.ceil(kept / tick - 1e-9)
+            over = np.flatnonzero(slots_f >= limit)
+            if over.size:
+                raise ValueError(
+                    f"value {float(kept[over[0]])} exceeds tracker domain "
+                    f"(max {(limit - 1) * tick})"
+                )
+            new_slots = slots_f.astype(np.int64)
             pos = np.searchsorted(u, new_slots)
             safe = np.minimum(pos, u.size - 1)
             if np.any(pos >= u.size) or np.any(u[safe] != new_slots):
@@ -698,14 +740,13 @@ class UniverseFitter:
                 # the default tick): hand the key to the scalar reference.
                 self._eject(j, seg_end)
                 return
-            kept_slots = new_slots
-            h = seg_end - len(kept_slots)
-            self._slots_T[h:seg_end, j] = kept_slots
+            h = seg_end - kept.size
+            self._slots_T[h:seg_end, j] = new_slots
             self._comp_T[h:seg_end, j] = pos
         else:
-            h = seg_end - len(kept_slots)
+            h = seg_end - kept.size
         self._h0[j] = h
-        self._L[j] = len(kept_slots)
+        self._L[j] = kept.size
         S = self._S
         row = self._tree[j]
         row[:] = 0
@@ -716,11 +757,10 @@ class UniverseFitter:
                 row[2 * lo : 4 * lo : 2] + row[2 * lo + 1 : 4 * lo : 2]
             )
             lo >>= 1
-        tail = kept[-self._Wa :] if len(kept) > self._Wa else kept
-        self._rec_n[j] = len(tail)
-        self._rec_w[j] = len(tail) % self._Wa
-        if tail:
-            self._rec_buf[j, : len(tail)] = tail
+        tail = kept[-self._Wa :]
+        self._rec_n[j] = tail.size
+        self._rec_w[j] = tail.size % self._Wa
+        self._rec_buf[j, : tail.size] = tail
         self._rho[j] = 0.0
         self._ess_num[j] = 1.0
         self._ess_den[j] = 1.0
@@ -1053,8 +1093,9 @@ def fit_drafts_universe(
     """Batch the DrAFTS phase-1 fit for a whole universe of traces.
 
     ``configs`` is one shared :class:`DraftsConfig` or one per trace. Keys
-    whose QBETS configurations differ beyond ``max_value`` (e.g. mixed
-    target probabilities) are grouped and fitted in one batch pass per
+    that differ only in ladder domain or probability level (``max_value``,
+    ``q``, ``c``) share one batch pass; keys whose QBETS configurations
+    differ in any other field are grouped and fitted in one pass per
     group, so callers need not pre-partition.
     """
     n = len(traces)
@@ -1067,7 +1108,7 @@ def fit_drafts_universe(
     qcfgs = [c.qbets_config() for c in cfg_list]
     groups: dict[QBETSConfig, list[int]] = {}
     for idx, qc in enumerate(qcfgs):
-        groups.setdefault(replace(qc, max_value=1.0), []).append(idx)
+        groups.setdefault(_lockstep_config(qc), []).append(idx)
     results: list[tuple[UniverseFitResult, int] | None] = [None] * n
     for members in groups.values():
         ejects = None

@@ -19,17 +19,21 @@ import pytest
 
 from repro.backtest import predcache
 from repro.baselines.ar1 import AR1Bid
+from repro.cloud.api import EC2Api
+from repro.core import universe_fit
 from repro.core.drafts import DraftsConfig, DraftsPredictor
 from repro.core.online import OnlineDraftsPredictor
 from repro.core.qbets import QBETS, QBETSConfig
 from repro.core.universe import UniverseTicker
 from repro.core.universe_fit import (
+    UniverseFitter,
     fit_drafts_universe,
     fit_universe,
     scan_universe,
 )
 from repro.market.synthetic import VOLATILITY_CLASSES, synthetic_trace
 from repro.market.traces import PriceTrace
+from repro.service.drafts_service import DraftsService, ServiceConfig
 
 CFG = QBETSConfig(q=0.975, c=0.99)
 CLASSES = list(VOLATILITY_CLASSES)
@@ -68,9 +72,11 @@ def _assert_state_equal(ref: dict, got: dict, label: str) -> None:
             assert same, f"{label}: {key} ref={va!r} got={vb!r}"
 
 
-def _assert_key_matches(res, k: int, x: np.ndarray, *, bounds: bool) -> None:
+def _assert_key_matches(
+    res, k: int, x: np.ndarray, *, bounds: bool, cfg: QBETSConfig = CFG
+) -> None:
     """One key of a batch result vs a fresh scalar QBETS replay."""
-    qb = QBETS(CFG)
+    qb = QBETS(cfg)
     if bounds:
         ref_bounds = qb.bound_series(x)
         assert np.array_equal(
@@ -206,6 +212,148 @@ class TestFitUniverse:
             _assert_state_equal(
                 qb.state_dict(), res.qbets_state(k), f"fallback key {k}"
             )
+
+
+def _mixed_level_configs(n: int) -> list[QBETSConfig]:
+    """Every (p, c) pair of p in {0.9, 0.95, 0.99}, c in {0.95, 0.99}.
+
+    ``q`` is the phase-1 quantile DrAFTS derives from the level, sqrt(p).
+    """
+    levels = [
+        (p, c) for c in (0.95, 0.99) for p in (0.9, 0.95, 0.99)
+    ]
+    return [
+        QBETSConfig(q=math.sqrt(levels[k % 6][0]), c=levels[k % 6][1])
+        for k in range(n)
+    ]
+
+
+@pytest.fixture()
+def fit_calls(monkeypatch) -> list[int]:
+    """Key count of every ``fit_universe`` pass ``fit_drafts_universe`` runs."""
+    calls: list[int] = []
+    real = universe_fit.fit_universe
+
+    def counting(series, configs, **kwargs):
+        calls.append(len(series))
+        return real(series, configs, **kwargs)
+
+    monkeypatch.setattr(universe_fit, "fit_universe", counting)
+    return calls
+
+
+class TestMixedLevels:
+    """One sweep over keys whose configs differ in q and c."""
+
+    def _universe(self) -> tuple[list[np.ndarray], list[QBETSConfig]]:
+        """Twelve ragged keys, two per (p, c) pair, with crafted shifts.
+
+        Keys 1/3/8/9 drop to a low regime (down change points). Keys 2,
+        4 and 10 ramp up from epoch 600: every detector-fed epoch exceeds
+        all earlier prices, so the up change point fires exactly when the
+        key's own critical hit count is reached, which differs by level.
+        """
+        series = [_series(i, 1600 - (i % 4) * 300) for i in range(12)]
+        for k, at in ((1, 250), (3, 400), (8, 400), (9, 900)):
+            series[k] = series[k].copy()
+            series[k][at:] *= 0.12
+        for k in (2, 4, 10):
+            x = series[k] = series[k].copy()
+            fed = np.arange(600, x.size)
+            fed = fed[(fed + 1) % CFG.cp_decimation == 0]
+            x[fed] = x[:600].max() * (1.05 + 0.01 * np.arange(fed.size))
+        series[5] = series[5][:60]
+        series[11] = series[11][:1]
+        return series, _mixed_level_configs(len(series))
+
+    @pytest.mark.parametrize("bounds", [True, False], ids=["fit", "scan"])
+    def test_mixed_q_and_c_bit_identical(self, bounds):
+        series, cfgs = self._universe()
+        assert len({(c.q, c.c) for c in cfgs}) == 6
+        res = (
+            fit_universe(series, cfgs)
+            if bounds
+            else scan_universe(series, cfgs)
+        )
+        for k, x in enumerate(series):
+            _assert_key_matches(res, k, x, bounds=bounds, cfg=cfgs[k])
+
+    def test_scan_change_points_fire_at_every_quantile(self):
+        series, cfgs = self._universe()
+        res = scan_universe(series, cfgs)
+        fired_q = set()
+        for k, x in enumerate(series):
+            qb = QBETS(cfgs[k])
+            qb.scan(x)
+            assert list(qb.changepoints) == list(res.changepoints(k))
+            if qb.changepoints:
+                fired_q.add(cfgs[k].q)
+        assert len(fired_q) == 3, "change points missing at some level"
+
+    def test_forced_ejection_in_mixed_batch(self):
+        series, cfgs = self._universe()
+        pure = fit_universe(series, cfgs)
+        ejected = fit_universe(
+            series, cfgs, eject_after={0: 600, 1: 0, 8: 1599, 9: 300}
+        )
+        assert sorted(ejected.ejected_keys) == [0, 1, 8, 9]
+        for k in range(len(series)):
+            assert np.array_equal(
+                pure.bounds(k), ejected.bounds(k), equal_nan=True
+            )
+            assert _nan_eq(pure.final_bound(k), ejected.final_bound(k))
+            _assert_state_equal(
+                pure.qbets_state(k), ejected.qbets_state(k), f"eject key {k}"
+            )
+
+    def test_sweep_buffers_are_released(self):
+        # The result outlives the fit (warm start builds every ladder while
+        # holding it); the price matrix and trees must not ride along.
+        series, cfgs = self._universe()
+        fitter = UniverseFitter(series, cfgs)
+        for name in ("_prices_T", "_comp_T", "_tree", "_push_idx"):
+            assert not hasattr(fitter, name), name
+        _assert_key_matches(
+            fitter.result(), 0, series[0], bounds=True, cfg=cfgs[0]
+        )
+
+    def test_other_field_mismatch_still_raises(self):
+        series = [_series(i, 300) for i in range(2)]
+        cfgs = [CFG, CFG.with_(q=0.99, cp_window=24)]
+        with pytest.raises(ValueError, match="max_value, q and c"):
+            UniverseFitter(series, cfgs)
+
+    def test_fit_drafts_universe_splits_other_fields(
+        self, drafts_traces, fit_calls
+    ):
+        # Two levels x two change-point settings: one pass per setting.
+        configs = [
+            DraftsConfig(
+                probability=0.95 if k % 2 == 0 else 0.99,
+                changepoint=k < 3,
+            )
+            for k in range(len(drafts_traces))
+        ]
+        fit = fit_drafts_universe(drafts_traces, configs)
+        assert sorted(fit_calls) == [2, 3]
+        for k, (trace, config) in enumerate(zip(drafts_traces, configs)):
+            ref = DraftsPredictor(trace, config)
+            pred = fit.predictor(k)
+            assert np.array_equal(ref._bounds, pred._bounds, equal_nan=True)
+            assert list(ref.changepoints) == list(pred.changepoints)
+
+    def test_warm_start_fits_every_level_in_one_pass(
+        self, small_universe, fit_calls
+    ):
+        service = DraftsService(
+            EC2Api(small_universe), ServiceConfig(probabilities=(0.95, 0.99))
+        )
+        combos = [c.key.split("@") for c in small_universe.combos()[:3]]
+        first = small_universe.combo(*combos[0])
+        now = small_universe.trace(first).start + 45 * 86400.0
+        info = service.warm_start([tuple(c) for c in combos], now)
+        assert info["fitted"] == 6
+        assert fit_calls == [6]
 
 
 @pytest.fixture()
