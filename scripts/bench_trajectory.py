@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -259,6 +260,7 @@ def _time_universe_fit(scale: str) -> dict:
         "scalar_best_s": round(min(scalar_s), 3),
         "speedup": round(min(scalar_s) / min(batch_s), 2),
         "equivalent": equivalent,
+        "cpu_count": os.cpu_count(),
     }
 
 
@@ -412,6 +414,7 @@ def main() -> int:
         f"{'bit-identical' if refresh['equivalent'] else 'DIVERGED'}"
     )
     restart = serving["restart"]
+    restart["cpu_count"] = os.cpu_count()
     print(
         f"  warm restart: cold fit {restart['cold_fit_s']:.2f} s -> "
         f"snapshot restore {restart['restore_s'] * 1e3:.1f} ms "

@@ -41,8 +41,13 @@ PYTHONPATH=src python -m repro universe-smoke --keys 32
 # probability levels 0.95 and 0.99 alternated across keys, so one sweep
 # carries two quantiles) through the structure-of-arrays phase-1 fitter
 # and require bit-identical bound series, change points, ladders and bids
-# against per-key scalar fits (~3 s); then smoke-run the gating benchmark
-# body once untimed.
+# against per-key scalar fits (~3 s). It then warm-starts a batch service
+# (curves published from the universe tickers) and a batch=False service
+# (per-key scalar curves) over the same keys and requires every published
+# curve to be equal: the perfbench output check below compares against a
+# gateway that boots through the same warm-start code, so it cannot catch
+# a divergence there. Finally smoke-run the gating benchmark body once
+# untimed.
 echo "== universe fit smoke (batch vs scalar bit-identity) =="
 PYTHONPATH=src python -m repro fit-smoke --keys 32 --probability 0.95 0.99
 PYTHONPATH=src python -m pytest benchmarks/bench_universe_fit.py -q --benchmark-disable

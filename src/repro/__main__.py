@@ -26,7 +26,9 @@ Commands:
     alternated across keys) through the structure-of-arrays phase-1
     fitter and verify bound series, change points, ladders and bid
     queries are bit-identical to per-key scalar ``DraftsPredictor``
-    fits; exits non-zero on the first divergence.
+    fits, then warm-start a batch and a ``batch=False`` service over the
+    same keys and verify every published curve matches; exits non-zero
+    on the first divergence.
 ``serve [--scale test] [--keys N] [--host H] [--port P] [--workers N | --shards N]``
     Stand the serving gateway up behind a real listening socket
     (``/predictions``, ``/bid``, ``/cheapest``, ``/healthz``, ``/metrics``)
@@ -323,11 +325,60 @@ def _cmd_fit_smoke(args: argparse.Namespace) -> int:
             )
             return 1
         checked += 1
+
+    # Warm-start parity: a batch service boots straight into its universe
+    # tickers, a batch=False service publishes each key's scalar curve;
+    # every published curve must match (the gateway-level output checks
+    # compare two services running the same boot path, so they cannot).
+    from repro.cloud.api import EC2Api
+    from repro.market import Universe, UniverseConfig
+    from repro.service import DraftsService, ServiceConfig
+
+    universe = Universe(UniverseConfig(seed=args.seed, n_epochs=70 * 288))
+    n_combos = max(1, args.keys // len(args.probability))
+    combos = [tuple(c.key.split("@")) for c in universe.combos()[:n_combos]]
+    now = universe.trace(universe.combo(*combos[0])).start + 45 * 86400.0
+    published = []
+    for batch in (True, False):
+        service = DraftsService(
+            EC2Api(universe),
+            ServiceConfig(probabilities=tuple(args.probability), batch=batch),
+        )
+        service.warm_start(combos, now)
+        published.append(
+            {key: curve for key, curve, _ in service.cached_curves()}
+        )
+
+    def curves_equal(a, b) -> bool:
+        if a is None or b is None:
+            return a is b
+        return (
+            a.bids == b.bids
+            and a.computed_at == b.computed_at
+            and (a.instance_type, a.zone, a.probability)
+            == (b.instance_type, b.zone, b.probability)
+            and all(
+                floats_equal(x, y) for x, y in zip(a.durations, b.durations)
+            )
+        )
+
+    batched, scalar = published
+    if batched.keys() != scalar.keys():
+        print("fit-smoke: warm-start key sets DIVERGED", file=sys.stderr)
+        return 1
+    for key in scalar:
+        if not curves_equal(batched[key], scalar[key]):
+            print(
+                f"fit-smoke: warm-start curve {key} DIVERGED",
+                file=sys.stderr,
+            )
+            return 1
     print(
         f"fit-smoke: ok — {checked} keys "
         f"({min(len(t) for t in traces)}-{max(len(t) for t in traces)} "
         f"epochs, ragged, p={','.join(map(str, args.probability))}), "
-        f"batch fit bit-identical to the scalar path"
+        f"batch fit bit-identical to the scalar path; {len(scalar)} "
+        f"warm-start curves identical on the batch and scalar boot paths"
     )
     return 0
 

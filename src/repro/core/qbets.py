@@ -252,7 +252,7 @@ class QBETS:
         ``ValueError`` (domain/window checks), not silent drift.
         """
         self._tracker.clear()
-        self._tracker.load_slots(np.asarray(state["tracker"]).tolist())
+        self._tracker.load_slots(state["tracker"])
         recent = np.asarray(state["recent"], dtype=np.float64)
         if recent.size > self._recent_buf.size:
             raise ValueError(

@@ -28,6 +28,8 @@ import math
 from bisect import bisect_right, insort
 from collections import deque
 
+import numpy as np
+
 __all__ = ["QuantileTracker"]
 
 
@@ -161,14 +163,15 @@ class QuantileTracker:
         :meth:`state_slots`). The restored tracker is bit-identical to the
         one that produced the slots.
         """
-        loaded = [int(s) for s in slots]
-        for slot in loaded:
-            if not 0 <= slot < self._slots:
-                raise ValueError(
-                    f"slot {slot} outside tracker domain [0, {self._slots})"
-                )
-        self._order = deque(loaded)
-        self._sorted = sorted(loaded)
+        arr = np.asarray(slots, dtype=np.int64).reshape(-1)
+        bad = (arr < 0) | (arr >= self._slots)
+        if bad.any():
+            slot = int(arr[np.argmax(bad)])
+            raise ValueError(
+                f"slot {slot} outside tracker domain [0, {self._slots})"
+            )
+        self._order = deque(arr.tolist())
+        self._sorted = np.sort(arr).tolist()
 
     def kth_largest(self, k: int) -> float:
         """The ``k``-th largest tracked value (0-based)."""

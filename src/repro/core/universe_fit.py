@@ -13,13 +13,14 @@ universe at once, as one structure-of-arrays pass per *epoch column*:
   column. That lockstep is what makes the bound series column-sweepable:
   all per-key state transitions at column ``i`` depend only on state after
   column ``i - 1`` plus the column's price vector.
-* Each key's quantised tick multiset lives in a per-key *segment tree over
-  its rank-compressed slot alphabet* (a ``(keys, 2*S)`` count matrix);
-  pushing a column is ``depth + 1`` vectorised increments, and every order
-  statistic the scalar path reads (bound selection, the change-point
-  "low" threshold, the autocorrelation threshold) is one lockstep
-  binary-search descent across all queried keys — the same kernel style as
-  :func:`repro.core.universe.kth_of_two_sorted`.
+* Each key's quantised tick multiset lives in a per-key *two-level count
+  histogram over its rank-compressed slot alphabet*: leaf counts
+  ``(keys, nb*B)`` plus block counts ``(keys, nb)``, ``B`` about the square
+  root of the largest alphabet. Pushing a column is two vectorised
+  increments, and every order statistic the scalar path reads (bound
+  selection, the change-point "low" threshold, the autocorrelation
+  threshold) is one lockstep block-then-leaf cumulative count across all
+  queried keys.
 * Keys may differ in ``q`` and ``c`` (one probability level each, so a
   service publishing 0.95 and 0.99 fits both in one sweep): the quantile,
   minimum history and change-point thresholds are per-key arrays, and one
@@ -31,7 +32,7 @@ universe at once, as one structure-of-arrays pass per *epoch column*:
 Change points are the one genuinely scalar event: they are rare (a few per
 key per fit), so each firing is handled by a per-key mirror of
 ``QBETS.update``'s truncation/winsorisation branch, rewriting that key's
-history segment in place and rebuilding its tree row. If a key's
+history segment in place and rebuilding its histogram row. If a key's
 post-change state cannot be represented in its compressed alphabet (a
 winsorisation pad re-quantises to an unseen slot — impossible for realistic
 price domains, but the rule is explicit), the key is *ejected to scalar*: a
@@ -278,13 +279,17 @@ class UniverseFitter:
             uniqs.append(u)
         self._U = U_arr
         U_max = max(int(U_arr.max()), 1)
-        S = 1
-        while S < U_max:
-            S <<= 1
-        self._S = S
-        self._depth = S.bit_length() - 1
-        self._tree_stride = 2 * S
-        self._uniq = np.zeros((K, S), dtype=np.int64)
+        # Two-level count histogram over each key's compressed alphabet:
+        # B leaves per block, B the power of two >= sqrt(U_max) (>= 16),
+        # so a selection scans about 2 * sqrt(U_max) counts per key.
+        B = 16
+        while B * B < U_max:
+            B <<= 1
+        nb = -(-U_max // B)
+        self._B = B
+        self._B_shift = B.bit_length() - 1
+        self._nb = nb
+        self._uniq = np.zeros((K, nb * B), dtype=np.int64)
         self._comp_T = np.zeros((T, K), dtype=np.int32)
         for j, u in enumerate(uniqs):
             n = int(self._len_sorted[j])
@@ -295,21 +300,11 @@ class UniverseFitter:
             self._uniq[j, u.size :] = u[-1]
             self._comp_T[:n, j] = np.searchsorted(u, self._slots_T[:n, j])
         self._leaf_cap = np.maximum(U_arr - 1, 0)
-        self._tree = np.zeros((K, 2 * S), dtype=np.int32)
-        self._tree_flat = self._tree.reshape(-1)
-        self._level_shifts = np.arange(
-            self._depth + 1, dtype=np.int64
-        )[:, None]
+        self._leaf = np.zeros((K, nb * B), dtype=np.int32)
+        self._block = np.zeros((K, nb), dtype=np.int32)
         self._ar = np.arange(K, dtype=np.int64)
-        self._rows_base = self._ar * self._tree_stride
-        # Scratch buffers for the lockstep descent + push kernels; sliced
-        # per call so the hot loop never allocates.
-        self._sel_node = np.empty(K, dtype=np.int64)
-        self._sel_r = np.empty(K, dtype=np.int64)
-        self._sel_base = np.empty(K, dtype=np.int64)
-        self._sel_idx = np.empty(K, dtype=np.int64)
-        self._sel_go = np.empty(K, dtype=bool)
-        self._push_idx = np.empty((self._depth + 1, K), dtype=np.int64)
+        self._leaf_base = self._ar * (nb * B)
+        self._block_base = self._ar * nb
         # Event state for the incremental fit-mode bound finger.
         self._k_prev = np.full(K, np.iinfo(np.int64).min, dtype=np.int64)
         self._cp_touched = np.zeros(K, dtype=bool)
@@ -370,43 +365,32 @@ class UniverseFitter:
     def _select(self, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """``rank``-th smallest tracked value for each queried key.
 
-        One binary-search descent through all queried keys' segment trees in
-        lockstep; the returned floats are ``slot * tick``, exactly what
+        Two counting passes over the queried keys' histograms in lockstep:
+        the block cumsum locates the block holding the rank, the leaf
+        cumsum inside that block locates the slot. Counts are exact
+        integers, so the returned floats are ``slot * tick``, exactly what
         ``QuantileTracker.kth_smallest`` produces.
         """
-        n = rows.size
-        node = self._sel_node[:n]
-        node[:] = 1
-        r = self._sel_r[:n]
-        r[:] = ranks
-        base = np.take(self._rows_base, rows, out=self._sel_base[:n])
-        ibuf = self._sel_idx[:n]
-        go = self._sel_go[:n]
-        tf = self._tree_flat
-        for _ in range(self._depth):
-            node <<= 1
-            np.add(base, node, out=ibuf)
-            left = tf[ibuf]
-            np.greater_equal(r, left, out=go)
-            np.subtract(r, left, out=r, where=go)
-            np.add(node, go, out=node)
-        leaf = node - self._S
-        # Clip protects ejected keys' garbage rows; live descents always
-        # land inside the alphabet.
-        np.minimum(leaf, self._leaf_cap[rows], out=leaf)
+        blocks = self._block[rows]
+        csum = blocks.cumsum(axis=1)
+        b = (csum <= ranks[:, None]).sum(axis=1)
+        # Clips protect ejected keys' garbage rows; live ranks always land
+        # inside the alphabet.
+        np.minimum(b, self._nb - 1, out=b)
+        at = np.arange(rows.size)
+        r_in = ranks - (csum[at, b] - blocks[at, b])
+        leaves = self._leaf.reshape(self._K, self._nb, self._B)[rows, b]
+        within = (leaves.cumsum(axis=1) <= r_in[:, None]).sum(axis=1)
+        leaf = np.minimum((b << self._B_shift) + within, self._leaf_cap[rows])
         return self._uniq[rows, leaf].astype(np.float64) * self._tick
 
     def _push(self, kact: int, comp_row: np.ndarray) -> None:
-        base = self._rows_base[:kact]
-        node = np.add(comp_row, self._S, dtype=np.int64)
-        # The root-to-leaf paths hit one node per level per key; levels
-        # occupy disjoint node ranges and keys disjoint rows, so the whole
-        # (levels, keys) index block has no duplicates and one fancy += is
-        # safe — and ~10x cheaper than a per-level loop.
-        idx = self._push_idx[:, :kact]
-        np.right_shift(node[None, :], self._level_shifts, out=idx)
-        idx += base[None, :]
-        self._tree_flat[idx] += 1
+        # One leaf and one block per key, each in the key's own row: the
+        # index vectors have no duplicates, so a fancy += is safe.
+        self._leaf.reshape(-1)[self._leaf_base[:kact] + comp_row] += 1
+        self._block.reshape(-1)[
+            self._block_base[:kact] + (comp_row >> self._B_shift)
+        ] += 1
 
     def _observe(self, kact, events, elen, ehead, ehits, hit, crit):
         """Vectorised ``BinomialRunDetector.observe`` across the prefix."""
@@ -445,8 +429,8 @@ class UniverseFitter:
 
         The bound is the k-th largest tracked value.  Pushing a value that
         is not strictly above the carried bound leaves the multiset's top-k
-        untouched, so the carried float is exactly what a fresh descent
-        would select.  A descent is therefore only needed for keys where
+        untouched, so the carried float is exactly what a fresh selection
+        would return.  A selection is therefore only needed for keys where
         (a) the pushed value exceeded the carried bound, (b) the binomial
         index k changed (L growth, ESS/rho refresh, or nan -> valid
         transition), or (c) a change point rewrote the segment.
@@ -577,11 +561,9 @@ class UniverseFitter:
             self._scan_final[:] = self._bound
             self._compute_bounds(self._K)
         # Sweep-only buffers: the result reads bounds, slots and the state
-        # mirrors, never the price matrix, the trees or the kernel scratch.
+        # mirrors, never the price matrix or the count histograms.
         del self._prices_T, self._comp_T, self._uniq
-        del self._tree, self._tree_flat, self._push_idx
-        del self._sel_node, self._sel_r, self._sel_base, self._sel_idx
-        del self._sel_go
+        del self._leaf, self._block, self._leaf_base, self._block_base
 
     def _refresh_rho_col(self, kact: int) -> None:
         upd = self._upd
@@ -700,7 +682,7 @@ class UniverseFitter:
         """Vectorised mirror of ``QBETS.update``'s change-point branch.
 
         Rewrites key ``j``'s history segment in place (slots + compressed
-        ranks), rebuilds its tree row bottom-up, and resets its recent ring
+        ranks), recounts its histogram row, and resets its recent ring
         and autocorrelation state. Every float is produced by the same IEEE
         operation the scalar branch applies per value (``slot * tick``,
         ``ceil(x / tick - 1e-9)``, comparisons, a sort), so the post-change
@@ -747,16 +729,11 @@ class UniverseFitter:
             h = seg_end - kept.size
         self._h0[j] = h
         self._L[j] = kept.size
-        S = self._S
-        row = self._tree[j]
-        row[:] = 0
-        row[S:] = np.bincount(self._comp_T[h:seg_end, j], minlength=S)
-        lo = S >> 1
-        while lo >= 1:
-            row[lo : 2 * lo] = (
-                row[2 * lo : 4 * lo : 2] + row[2 * lo + 1 : 4 * lo : 2]
-            )
-            lo >>= 1
+        counts = np.bincount(
+            self._comp_T[h:seg_end, j], minlength=self._nb * self._B
+        )
+        self._leaf[j] = counts
+        self._block[j] = counts.reshape(self._nb, self._B).sum(axis=1)
         tail = kept[-self._Wa :]
         self._rec_n[j] = tail.size
         self._rec_w[j] = tail.size % self._Wa

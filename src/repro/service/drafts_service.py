@@ -39,6 +39,7 @@ accumulated history (tests/test_service.py).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from collections import OrderedDict
@@ -404,18 +405,25 @@ class DraftsService:
             with state.lock:
                 if state.group is not None or state.online is None:
                     return
-                if key in group.ticker:
-                    # Ghost slot from a lost enrollment race (the key was
-                    # refit on the scalar path while still enrolled).
-                    group.ticker.remove_key(key)
-                group.ticker.add_key(
-                    key,
-                    online=state.online,
-                    instance_type=key[0],
-                    zone=key[1],
-                )
-                state.online = None
-                state.group = group
+                self._enroll_locked(key, state, group)
+
+    @staticmethod
+    def _enroll_locked(
+        key: tuple[str, str, float], state: _KeyState, group: _Group
+    ) -> None:
+        """Move ``state``'s scalar QBETS into ``group``'s ticker.
+
+        Caller holds ``group.lock`` and ``state.lock``.
+        """
+        if key in group.ticker:
+            # Ghost slot from a lost enrollment race (the key was refit on
+            # the scalar path while still enrolled).
+            group.ticker.remove_key(key)
+        group.ticker.add_key(
+            key, online=state.online, instance_type=key[0], zone=key[1]
+        )
+        state.online = None
+        state.group = group
 
     def _unenroll(self, key: tuple[str, str, float], state: _KeyState) -> None:
         """Remove an (evicted) key's slot from its batch group, if any."""
@@ -537,14 +545,21 @@ class DraftsService:
         combination's history once, runs a single universe-wide phase-1
         pass (:func:`repro.core.universe_fit.fit_drafts_universe`) across
         every published probability level, and lands per-key state
-        bit-identical to the scalar cold path — incremental keys get an
-        :class:`~repro.core.online.OnlineDraftsPredictor` restored from
-        the batch fit's snapshot, non-incremental keys the fitted
-        :class:`~repro.core.drafts.DraftsPredictor` — publishing all
-        curves into the cache at ``now``. Each fit counts under
+        bit-identical to the scalar cold path, publishing every curve into
+        the cache at ``now``. On the batch path (``batch`` and
+        ``incremental``) each key's fitted QBETS goes straight into its
+        probability group's :class:`~repro.core.universe.UniverseTicker`
+        and the curves come from one ``ticker.curves`` call per group: no
+        scalar curve or exceedance ladder is built. Otherwise incremental
+        keys get an :class:`~repro.core.online.OnlineDraftsPredictor`
+        restored from the batch fit's snapshot and non-incremental keys
+        the fitted :class:`~repro.core.drafts.DraftsPredictor`, each
+        publishing its own ``curve_at``. Each fit counts under
         ``cold_fits`` with reason ``"cold"``, exactly like the scalar
         first touch it replaces. Keys already holding predictor state are
-        skipped. Returns ``{"fitted", "skipped"}``.
+        skipped; a key the ``max_predictors`` bound evicts again during the
+        same call is counted but neither enrolled nor published. Returns
+        ``{"fitted", "skipped"}``.
         """
         todo: list[tuple[tuple[str, str, float], object]] = []
         skipped = 0
@@ -579,49 +594,86 @@ class DraftsService:
             for key, history in todo
         ]
         fit = fit_drafts_universe([h for _, h in todo], configs)
+        batched = self._cfg.batch and self._cfg.incremental
+        groups = (
+            {p: self._group_for(p) for p in sorted({k[2] for k, _ in todo})}
+            if batched
+            else {}
+        )
         fitted = 0
-        enroll: list[tuple[tuple[str, str, float], _KeyState]] = []
-        for i, (key, history) in enumerate(todo):
-            state = _KeyState()
-            if self._cfg.incremental:
-                online = fit.online_predictor(i)
-                curve = online.curve_at(
-                    online.n, instance_type=key[0], zone=key[1]
-                )
-                state.online = online
-            else:
-                predictor = fit.predictor(i)
-                curve = predictor.curve_at(
-                    len(history), instance_type=key[0], zone=key[1]
-                )
-                state.predictor = predictor
-            state.curve = curve
-            state.max_price = configs[i].max_price
-            state.cursor = history.end
-            state.last_now = now
-            evicted = []
-            with self._lock:
-                if key in self._states:
-                    # Lost a race to a concurrent scalar fit: keep theirs.
-                    continue
-                self._states[key] = state
-                self._states.move_to_end(key)
-                while len(self._states) > self._cfg.max_predictors:
-                    evicted.append(self._states.popitem(last=False))
-                    self._evictions += 1
-                self._cache[key] = _CacheEntry(computed_at=now, curve=curve)
-                self._cold_fits += 1
-                self._refit_reasons["cold"] = (
-                    self._refit_reasons.get("cold", 0) + 1
-                )
-            for ekey, estate in evicted:
-                # Outside the bookkeeping lock: unenrollment takes the
-                # group lock, which must never nest inside self._lock.
-                self._unenroll(ekey, estate)
-            enroll.append((key, state))
-            fitted += 1
-        for key, state in enroll:
-            self._maybe_enroll(key, state)
+        owned: list[tuple[tuple[str, str, float], _KeyState]] = []
+        evicted: list[tuple[tuple[str, str, float], _KeyState]] = []
+        with contextlib.ExitStack() as held:
+            # Batch path: the group locks (in a fixed order; no other code
+            # path holds two) and then each new key's lock stay held until
+            # its curve is published, so no reader sees a curve-less state.
+            for group in groups.values():
+                held.enter_context(group.lock)
+            for i, (key, history) in enumerate(todo):
+                state = _KeyState()
+                if batched:
+                    held.enter_context(state.lock)
+                    state.online = fit.online_predictor(i)
+                elif self._cfg.incremental:
+                    online = fit.online_predictor(i)
+                    state.curve = online.curve_at(
+                        online.n, instance_type=key[0], zone=key[1]
+                    )
+                    state.online = online
+                else:
+                    predictor = fit.predictor(i)
+                    state.curve = predictor.curve_at(
+                        len(history), instance_type=key[0], zone=key[1]
+                    )
+                    state.predictor = predictor
+                state.max_price = configs[i].max_price
+                state.cursor = history.end
+                state.last_now = now
+                with self._lock:
+                    if key in self._states:
+                        # Lost a race to a concurrent scalar fit: keep theirs.
+                        continue
+                    self._states[key] = state
+                    self._states.move_to_end(key)
+                    while len(self._states) > self._cfg.max_predictors:
+                        evicted.append(self._states.popitem(last=False))
+                        self._evictions += 1
+                    if not batched:
+                        self._cache[key] = _CacheEntry(
+                            computed_at=now, curve=state.curve
+                        )
+                    self._cold_fits += 1
+                    self._refit_reasons["cold"] = (
+                        self._refit_reasons.get("cold", 0) + 1
+                    )
+                owned.append((key, state))
+                fitted += 1
+            if batched:
+                with self._lock:
+                    owned = [
+                        (key, state)
+                        for key, state in owned
+                        if self._states.get(key) is state
+                    ]
+                for key, state in owned:
+                    self._enroll_locked(key, state, groups[key[2]])
+                curves: dict = {}
+                for probability, group in groups.items():
+                    curves.update(
+                        group.ticker.curves(
+                            [k for k, _ in owned if k[2] == probability]
+                        )
+                    )
+                with self._lock:
+                    for key, state in owned:
+                        state.curve = curves[key]
+                        self._cache[key] = _CacheEntry(
+                            computed_at=now, curve=state.curve
+                        )
+        for ekey, estate in evicted:
+            # Outside every lock: unenrollment takes the group lock, which
+            # must never nest inside self._lock.
+            self._unenroll(ekey, estate)
         return {"fitted": fitted, "skipped": skipped}
 
     def batch_refresh(self, now: float) -> dict:

@@ -28,6 +28,34 @@ class TestConstruction:
             tracker.push(float("nan"))
 
 
+class TestSlotState:
+    def test_round_trip(self):
+        tracker = QuantileTracker(tick=0.1, max_value=2.0)
+        tracker.extend([0.5, 1.9, 0.0, 0.5, 1.2])
+        restored = QuantileTracker(tick=0.1, max_value=2.0)
+        restored.load_slots(np.asarray(tracker.state_slots()))
+        assert restored.state_slots() == tracker.state_slots()
+        assert [restored.kth_smallest(k) for k in range(5)] == [
+            tracker.kth_smallest(k) for k in range(5)
+        ]
+        assert restored.recent(5) == tracker.recent(5)
+
+    def test_first_out_of_domain_slot_is_named(self):
+        tracker = QuantileTracker(tick=0.1, max_value=1.0)
+        with pytest.raises(
+            ValueError, match=r"^slot 11 outside tracker domain \[0, 11\)$"
+        ):
+            tracker.load_slots([3, 11, -1])
+        with pytest.raises(ValueError, match=r"^slot -1 outside"):
+            tracker.load_slots([3, -1, 11])
+
+    def test_empty(self):
+        tracker = QuantileTracker()
+        tracker.push(0.5)
+        tracker.load_slots([])
+        assert len(tracker) == 0 and tracker.state_slots() == []
+
+
 class TestRounding:
     def test_up_rounds_conservatively_for_prices(self):
         tracker = QuantileTracker(tick=0.1, rounding="up")

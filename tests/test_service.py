@@ -503,6 +503,111 @@ class TestBatchedTick:
         assert info["batch_keys"] <= 1
 
 
+class _ZonedApi:
+    """Per-zone :class:`_ScriptedApi`: each zone replays its own trace."""
+
+    def __init__(self, traces: dict) -> None:
+        self._apis = {zone: _ScriptedApi(t) for zone, t in traces.items()}
+
+    def describe_spot_price_history(self, instance_type, zone, now, since=None):
+        return self._apis[zone].describe_spot_price_history(
+            instance_type, zone, now, since
+        )
+
+
+class TestWarmStart:
+    """``warm_start`` boots straight into the batch tickers and publishes
+    exactly what a scalar cold fit of each key publishes."""
+
+    NOW = 40 * DAY
+
+    def _api(self):
+        short = _hourly_trace(2, rng=9)
+        # One day of history before NOW: too short for any bound.
+        short = PriceTrace(short.times + self.NOW - DAY, short.prices)
+        return _ZonedApi(
+            {
+                "za": _hourly_trace(60, rng=1),
+                "zb": _hourly_trace(60, rng=2, spikes={700: 0.9}),
+                "short": short,
+            }
+        )
+
+    COMBOS = [("c4.large", "za"), ("c4.large", "zb"), ("c4.large", "short")]
+
+    @pytest.fixture()
+    def ladder_count(self, monkeypatch):
+        from repro.core import durations
+
+        built = []
+        for cls in (durations.DurationLadder, durations.IncrementalDurationLadder):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return built
+
+    def test_batch_path_builds_no_scalar_ladder(self, ladder_count):
+        service = DraftsService(self._api())
+        info = service.warm_start(self.COMBOS, self.NOW)
+        assert info == {"fitted": 6, "skipped": 0}
+        assert ladder_count == []
+        # The counter does see the scalar path's ladders.
+        scalar = DraftsService(self._api(), ServiceConfig(batch=False))
+        scalar.warm_start(self.COMBOS, self.NOW)
+        assert ladder_count
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_curves_match_scalar_cold_path(self, incremental):
+        warm = DraftsService(
+            self._api(), ServiceConfig(incremental=incremental)
+        )
+        cold = DraftsService(self._api(), ServiceConfig(batch=False))
+        warm.warm_start(self.COMBOS, self.NOW)
+        for itype, zone in self.COMBOS:
+            for p in warm.config.probabilities:
+                ref = cold.curve(itype, zone, p, self.NOW)
+                assert curves_equal(warm.curve(itype, zone, p, self.NOW), ref)
+                assert (ref is None) == (zone == "short")
+        info = warm.cache_info()
+        assert info["hits"] == 6 and info["misses"] == 0
+        assert info["cold_fits"] == info["refit_reasons"]["cold"] == 6
+        assert info["batch_keys"] == (6 if incremental else 0)
+
+    def test_non_incremental_publishes_from_predictor(self, monkeypatch):
+        calls = []
+        curve_at = DraftsPredictor.curve_at
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return curve_at(self, *args, **kwargs)
+
+        monkeypatch.setattr(DraftsPredictor, "curve_at", counted)
+        service = DraftsService(self._api(), ServiceConfig(incremental=False))
+        service.warm_start(self.COMBOS, self.NOW)
+        assert len(calls) == 6
+
+    def test_keys_evicted_during_warm_start_are_not_enrolled(
+        self, small_universe
+    ):
+        service = DraftsService(
+            EC2Api(small_universe), ServiceConfig(max_predictors=6)
+        )
+        combos = [
+            tuple(c.key.split("@")) for c in small_universe.combos()[:8]
+        ]
+        first = small_universe.combo(*combos[0])
+        now = small_universe.trace(first).start + 45 * DAY
+        assert service.warm_start(combos, now)["fitted"] == 16
+        info = service.cache_info()
+        ticker_slots = sum(len(g.ticker) for g in service._groups.values())
+        assert ticker_slots == info["batch_keys"] == info["predictors"] == 6
+        assert info["evictions"] == 10
+
+
 class TestServiceInvariants:
     def test_published_minimum_bid_is_admissible(self, service_env, small_universe):
         """A curve's minimum bid must exceed the quoted market price at

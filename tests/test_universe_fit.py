@@ -307,11 +307,15 @@ class TestMixedLevels:
             )
 
     def test_sweep_buffers_are_released(self):
-        # The result outlives the fit (warm start builds every ladder while
-        # holding it); the price matrix and trees must not ride along.
+        # The result outlives the fit (warm start restores every key's
+        # predictor while holding it); the price matrix, the count
+        # histograms and their index bases must not ride along.
         series, cfgs = self._universe()
         fitter = UniverseFitter(series, cfgs)
-        for name in ("_prices_T", "_comp_T", "_tree", "_push_idx"):
+        for name in (
+            "_prices_T", "_comp_T", "_uniq", "_leaf", "_block", "_leaf_base",
+            "_block_base",
+        ):
             assert not hasattr(fitter, name), name
         _assert_key_matches(
             fitter.result(), 0, series[0], bounds=True, cfg=cfgs[0]
